@@ -123,9 +123,9 @@ class ParallelFileSystem:
         while True:
             piece = min(remaining, self.spec.chunk_bytes)
             server = self._pick_server()
-            yield src_node.tx.request_lock()
+            yield from src_node.tx.acquire_lock()
             try:
-                yield server.request_lock()
+                yield from server.acquire_lock()
                 try:
                     hold = server.latency + piece / min(
                         server.bandwidth, src_node.tx.bandwidth
@@ -160,9 +160,9 @@ class ParallelFileSystem:
         while remaining > 0:
             piece = min(remaining, self.spec.chunk_bytes)
             server = self._pick_server()
-            yield dst_node.rx.request_lock()
+            yield from dst_node.rx.acquire_lock()
             try:
-                yield server.request_lock()
+                yield from server.acquire_lock()
                 try:
                     hold = server.latency + piece / min(
                         server.bandwidth, dst_node.rx.bandwidth

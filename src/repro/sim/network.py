@@ -91,9 +91,9 @@ class Network:
         first, second = (src.tx, dst.rx)
         if dst.index < src.index:
             first, second = (dst.rx, src.tx)
-        yield first.request_lock()
+        yield from first.acquire_lock()
         try:
-            yield second.request_lock()
+            yield from second.acquire_lock()
             try:
                 bw = min(src.tx.bandwidth, dst.rx.bandwidth)
                 hold = src.tx.latency + self.spec.fabric_latency + float(nbytes) / bw

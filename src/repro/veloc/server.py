@@ -173,7 +173,7 @@ class VeloCServer:
                 while remaining > 0:
                     piece = min(remaining, chunk_size)
                     server = pfs._pick_server()
-                    yield server.request_lock()
+                    yield from server.acquire_lock()
                     try:
                         hold = server.latency + piece / server.bandwidth
                         server.busy_time += hold

@@ -75,6 +75,66 @@ class TestResource:
         assert res.in_use == 0
         assert res.queue_length == 0
 
+    def test_killed_waiter_leaves_the_queue(self):
+        eng = Engine()
+        res = Resource(eng, capacity=1)
+        granted = []
+
+        def holder():
+            yield from res.acquire()
+            yield eng.timeout(1.0)
+            res.release()
+
+        def waiter(tag):
+            yield from res.acquire()
+            granted.append((tag, eng.now))
+            res.release()
+
+        eng.process(holder())
+        victim = eng.process(waiter("victim"))
+        victim.add_callback(lambda _ev: None)  # its death is observed
+        eng.process(waiter("next"))
+
+        def killer():
+            yield eng.timeout(0.5)
+            victim.kill()
+
+        eng.process(killer())
+        eng.run()
+        assert granted == [("next", 1.0)]
+        assert res.in_use == 0 and res.queue_length == 0
+
+    def test_killed_grantee_releases_the_slot(self):
+        eng = Engine()
+        res = Resource(eng, capacity=1)
+        granted = []
+
+        def holder():
+            yield from res.acquire()
+            yield eng.timeout(1.0)
+            res.release()
+
+        def waiter(tag):
+            yield from res.acquire()
+            granted.append((tag, eng.now))
+            res.release()
+
+        eng.process(holder())
+        victim = eng.process(waiter("victim"))
+        victim.add_callback(lambda _ev: None)
+        eng.process(waiter("next"))
+
+        def killer():
+            # the slot is handed to the victim at t=1; kill it before it
+            # resumes, in the same instant
+            yield eng.timeout(1.0)
+            victim.kill()
+
+        eng.process(killer())
+        eng.run()
+        assert granted == [("next", 1.0)]
+        assert res.in_use == 0 and res.queue_length == 0
+
 
 class TestStore:
     def test_put_then_get(self):
