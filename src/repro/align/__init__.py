@@ -41,11 +41,10 @@ from repro.align.keying import (
     KeyedRecord,
     canonical_fields,
     key_records,
-    layer_of,
     protocol_critical,
     record_epoch,
-    record_wrank,
 )
+from repro.sim.recovery import layer_of
 
 #: JSON schema version of ``repro.align`` divergence reports
 ALIGN_SCHEMA = 1
@@ -65,5 +64,4 @@ __all__ = [
     "layer_of",
     "protocol_critical",
     "record_epoch",
-    "record_wrank",
 ]

@@ -41,8 +41,12 @@ from repro.align.keying import (
     ANCHOR_KINDS,
     KeyedRecord,
     key_records,
-    layer_of,
     protocol_critical,
+)
+from repro.sim.recovery import (
+    RECOVERY_DONE_KINDS,
+    REENTRY_KINDS,
+    recovery_episodes,
 )
 from repro.sim.trace import TraceRecord
 
@@ -329,17 +333,13 @@ def _drifted_fields(a: TraceRecord, b: TraceRecord) -> List[str]:
 # -- first-divergence root-causing ---------------------------------------
 
 
-#: kinds ending a recovery, mirrored from repro.monitor.explain
-_KILL_KINDS = ("rank_killed", "rank_crashed")
-_REENTRY_KINDS = ("kr_region_commit", "checkpoint", "imr_store")
-
 #: recovery-path stages in protocol order, each the trace-level
 #: equivalent of a repro.profile critical-path segment
 _RECOVERY_STAGES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("ulfm", ("detect", "revoke")),
     ("fenix", ("repair", "shrink", "abort", "role")),
-    ("veloc", ("recover", "imr_restore")),
-    ("kr", _REENTRY_KINDS),
+    ("veloc", RECOVERY_DONE_KINDS),
+    ("kr", REENTRY_KINDS),
 )
 
 
@@ -347,12 +347,16 @@ def recovery_breakdown(records: Sequence[TraceRecord]) -> Dict[str, float]:
     """Per-layer recovery time after the first kill (empty = no kill).
 
     Walks the protocol spine kill -> detect/revoke -> repair ->
-    recover -> re-entry and charges each inter-stage gap to the stage's
-    layer, plus ``total`` (the recovery latency the live layer tracks).
+    recover -> re-entry, each stage the first record of its kinds at or
+    after the previous stage's time (no bound at a later kill), and
+    charges each gap to the stage's layer.  ``total`` runs from the kill
+    to the last stage found: re-entry, not the first data recovery that
+    ends live's ``recovery_latency_s``.
     """
-    kill = next((r for r in records if r.kind in _KILL_KINDS), None)
-    if kill is None:
+    episodes = recovery_episodes(records)
+    if not episodes:
         return {}
+    kill = episodes[0].kill
     out: Dict[str, float] = {}
     cursor = kill.time
     tail = [r for r in records if r.time >= kill.time]

@@ -47,21 +47,13 @@ from repro.util.errors import ConfigError, ReproError
 from repro.veloc import VeloCService
 
 
-def strict_monitor_default() -> bool:
-    """CI hook: ``REPRO_STRICT_MONITOR=1`` turns invariant enforcement on
-    for every job without plumbing a flag through each call site (the
-    env var is inherited by parallel sweep workers)."""
-    return os.environ.get(
-        "REPRO_STRICT_MONITOR", ""
-    ).strip().lower() in ("1", "true", "yes", "on")
-
-
-def strict_slo_default() -> bool:
-    """CI hook mirroring :func:`strict_monitor_default`:
+def env_flag(name: str) -> bool:
+    """CI hook: a boolean switch every job (and every parallel sweep
+    worker, which inherits the environment) reads without plumbing.
+    ``REPRO_STRICT_MONITOR=1`` turns invariant enforcement on;
     ``REPRO_STRICT_SLO=1`` makes any fired SLO alert fail the job."""
-    return os.environ.get(
-        "REPRO_STRICT_SLO", ""
-    ).strip().lower() in ("1", "true", "yes", "on")
+    return os.environ.get(name, "").strip().lower() in (
+        "1", "true", "yes", "on")
 
 
 @dataclass(frozen=True)
@@ -221,7 +213,7 @@ class JobRunner:
         # ``trace_max_records`` switches it to ring-buffer mode so long
         # campaigns cannot grow the record list without bound
         self.strict_monitor = (
-            strict_monitor_default() if strict_monitor is None
+            env_flag("REPRO_STRICT_MONITOR") if strict_monitor is None
             else strict_monitor
         )
         self.monitor = monitor
@@ -229,7 +221,7 @@ class JobRunner:
             self.monitor = MonitorSuite()
         self.rules = load_rules(rules) if isinstance(rules, str) else rules
         self.strict_slo = (
-            strict_slo_default() if strict_slo is None else strict_slo
+            env_flag("REPRO_STRICT_SLO") if strict_slo is None else strict_slo
         )
         trace = Trace(
             enabled=True, max_records=trace_max_records,
@@ -481,22 +473,39 @@ class JobRunner:
             raise exc
 
 
-def _run_with_replay_audit(
-    make_runner: Callable[[FailurePlan, bool, bool], JobRunner],
-    plan: FailurePlan,
+def _run_job(
+    env: ExperimentEnv,
+    strategy: StrategySpec,
+    n_ranks: int,
+    plan: Optional[FailurePlan],
+    build_main: Callable[..., Callable],
+    app_name: str,
+    trace_max_records: Optional[int],
     determinism_audit: bool,
+    **observers: Any,
 ) -> RunReport:
-    """Run a job; with the audit on, replay it and align the traces.
+    """Run one job; with the audit on, replay it and align the traces.
 
-    ``make_runner(plan, observed, capture)`` builds a fresh runner:
-    ``observed`` carries the caller's telemetry/monitor/rules/sinks
-    (True for the primary run only -- the replay must not double-feed
-    the caller's observers), ``capture`` forces trace recording.  The
-    failure plan is deep-copied *before* the primary run because live
-    plans are stateful; both executions therefore see identical
-    injection schedules, which is what makes zero divergences the
-    correct expectation for a deterministic simulator.
+    ``observers`` are the caller's JobRunner observability arguments
+    (telemetry, monitor, rules, sinks and their strict switches).  Only
+    the primary run gets them: the replay must not double-feed the
+    caller's observers.  The failure plan is deep-copied *before* the
+    primary run because live plans are stateful; both executions
+    therefore see identical injection schedules, which is what makes
+    zero divergences the correct expectation for a deterministic
+    simulator.
     """
+    plan = plan if plan is not None else NoFailures()
+
+    def make_runner(plan_: FailurePlan, observed: bool,
+                    capture: bool) -> JobRunner:
+        # the replay is never strict, whatever the environment says
+        unobserved = dict(strict_monitor=False, strict_slo=False)
+        return JobRunner(env, strategy, n_ranks, plan_, build_main,
+                         app_name, trace_max_records=trace_max_records,
+                         capture_trace=capture,
+                         **(observers if observed else unobserved))
+
     if not determinism_audit:
         return make_runner(plan, True, False).run()
     replay_plan = copy.deepcopy(plan)
@@ -570,7 +579,6 @@ def run_heatdis_job(
     attaches the divergences to ``RunReport.divergences``.
     """
     strategy = STRATEGIES[strategy_name]
-    plan = plan if plan is not None else NoFailures()
 
     def build_main(runner, world, imr, plan, results, tracker):
         if strategy.kr or not strategy.checkpointing:
@@ -600,21 +608,11 @@ def run_heatdis_job(
             dedup=env.veloc_dedup,
         )
 
-    def make_runner(plan_: FailurePlan, observed: bool,
-                    capture: bool) -> JobRunner:
-        return JobRunner(env, strategy, n_ranks, plan_, build_main,
-                         "heatdis",
-                         telemetry=telemetry if observed else None,
-                         trace_max_records=trace_max_records,
-                         strict_monitor=strict_monitor if observed else False,
-                         monitor=monitor if observed else None,
-                         profile=profile if observed else False,
-                         rules=rules if observed else None,
-                         strict_slo=strict_slo if observed else False,
-                         trace_sink=trace_sink if observed else None,
-                         capture_trace=capture)
-
-    return _run_with_replay_audit(make_runner, plan, determinism_audit)
+    return _run_job(env, strategy, n_ranks, plan, build_main, "heatdis",
+                    trace_max_records, determinism_audit,
+                    telemetry=telemetry, strict_monitor=strict_monitor,
+                    monitor=monitor, profile=profile, rules=rules,
+                    strict_slo=strict_slo, trace_sink=trace_sink)
 
 
 def run_heatdis2d_job(
@@ -640,7 +638,6 @@ def run_heatdis2d_job(
         raise ConfigError(
             "the 2-D Heatdis is only integrated through Kokkos Resilience"
         )
-    plan = plan if plan is not None else NoFailures()
 
     def build_main(runner, world, imr, plan, results, tracker):
         make_kr = _kr_factory(
@@ -651,21 +648,11 @@ def run_heatdis2d_job(
             cfg, make_kr, failure_plan=plan, results=results, tracker=tracker
         )
 
-    def make_runner(plan_: FailurePlan, observed: bool,
-                    capture: bool) -> JobRunner:
-        return JobRunner(env, strategy, n_ranks, plan_, build_main,
-                         "heatdis2d",
-                         telemetry=telemetry if observed else None,
-                         trace_max_records=trace_max_records,
-                         strict_monitor=strict_monitor if observed else False,
-                         monitor=monitor if observed else None,
-                         profile=profile if observed else False,
-                         rules=rules if observed else None,
-                         strict_slo=strict_slo if observed else False,
-                         trace_sink=trace_sink if observed else None,
-                         capture_trace=capture)
-
-    return _run_with_replay_audit(make_runner, plan, determinism_audit)
+    return _run_job(env, strategy, n_ranks, plan, build_main, "heatdis2d",
+                    trace_max_records, determinism_audit,
+                    telemetry=telemetry, strict_monitor=strict_monitor,
+                    monitor=monitor, profile=profile, rules=rules,
+                    strict_slo=strict_slo, trace_sink=trace_sink)
 
 
 def run_minimd_job(
@@ -689,7 +676,6 @@ def run_minimd_job(
     strategy = STRATEGIES[strategy_name]
     if strategy.checkpointing and not strategy.kr:
         raise ConfigError("MiniMD is only integrated through Kokkos Resilience")
-    plan = plan if plan is not None else NoFailures()
 
     def build_main(runner, world, imr, plan, results, tracker):
         make_kr = _kr_factory(
@@ -700,18 +686,8 @@ def run_minimd_job(
             cfg, make_kr, failure_plan=plan, results=results, tracker=tracker
         )
 
-    def make_runner(plan_: FailurePlan, observed: bool,
-                    capture: bool) -> JobRunner:
-        return JobRunner(env, strategy, n_ranks, plan_, build_main,
-                         "minimd",
-                         telemetry=telemetry if observed else None,
-                         trace_max_records=trace_max_records,
-                         strict_monitor=strict_monitor if observed else False,
-                         monitor=monitor if observed else None,
-                         profile=profile if observed else False,
-                         rules=rules if observed else None,
-                         strict_slo=strict_slo if observed else False,
-                         trace_sink=trace_sink if observed else None,
-                         capture_trace=capture)
-
-    return _run_with_replay_audit(make_runner, plan, determinism_audit)
+    return _run_job(env, strategy, n_ranks, plan, build_main, "minimd",
+                    trace_max_records, determinism_audit,
+                    telemetry=telemetry, strict_monitor=strict_monitor,
+                    monitor=monitor, profile=profile, rules=rules,
+                    strict_slo=strict_slo, trace_sink=trace_sink)

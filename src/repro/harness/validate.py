@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import List
 
+from repro.sim.recovery import identity_rank
 from repro.sim.trace import Trace
 
 
@@ -107,9 +108,7 @@ def check_flushes_follow_checkpoints(trace: Trace) -> List[str]:
     taken = defaultdict(set)
     for rec in trace:
         if rec.kind == "checkpoint":
-            # veloc.rankN -> N
-            rank = rec.source.rsplit("rank", 1)[-1]
-            taken[rank].add(rec["version"])
+            taken[identity_rank(rec.source)].add(rec["version"])
         elif rec.kind == "flush_done":
             key = rec["key"]
             if (
@@ -117,7 +116,7 @@ def check_flushes_follow_checkpoints(trace: Trace) -> List[str]:
                 and len(key) == 4
                 and key[0] == "veloc"
             ):
-                version, rank = key[2], str(key[3])
+                version, rank = key[2], key[3]
                 if version not in taken.get(rank, set()):
                     out.append(
                         f"flush of rank {rank} v{version} without checkpoint"

@@ -32,17 +32,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.sim.recovery import (
+    KILL_KINDS,
+    RECOVERY_DONE_KINDS,
+    RecoveryWalk,
+    world_rank,
+)
 from repro.sim.trace import Trace, TraceRecord
 from repro.util.errors import ConfigError
-
-#: record kinds that open a recovery episode
-KILL_KINDS = frozenset({"rank_killed", "rank_crashed"})
-
-#: record kinds whose arrival proves data recovery completed
-RECOVERY_DONE_KINDS = frozenset({"recover", "imr_restore"})
 
 #: the aggregator's standard global series
 STANDARD_SERIES = (
@@ -194,23 +194,6 @@ class RankLane:
         }
 
 
-def _record_rank(rec: TraceRecord) -> Optional[int]:
-    """Best-effort rank attribution of one record."""
-    r = rec.fields.get("rank")
-    if r is None:
-        r = rec.fields.get("wrank")
-    if r is not None:
-        try:
-            return int(r)
-        except (TypeError, ValueError):
-            return None
-    src = rec.source
-    tail = src.rsplit("rank", 1)
-    if len(tail) == 2 and tail[1].isdigit():
-        return int(tail[1])
-    return None
-
-
 class TimeSeriesAggregator:
     """Trace listener maintaining the standard live series + rank lanes.
 
@@ -235,8 +218,8 @@ class TimeSeriesAggregator:
         self._world_size = 0
         self._dead: set = set()
         self._spares = 0
-        #: open recovery episodes: kill time per (attempt-scoped) kill
-        self._open_kills: List[Tuple[float, Optional[int]]] = []
+        #: a kill's recovery latency ends at its first data recovery
+        self._recoveries = RecoveryWalk()
         self._last_ckpt_t: Dict[str, float] = {}
 
     # -- wiring -----------------------------------------------------------
@@ -264,7 +247,8 @@ class TimeSeriesAggregator:
         if t > self.now:
             self.now = t
         kind = rec.kind
-        rank = _record_rank(rec)
+        rank = world_rank(rec)
+        recovered = self._recoveries.feed(rec, kind, t)
         lane = None
         if rank is not None:
             lane = self.lanes.get(rank)
@@ -299,7 +283,6 @@ class TimeSeriesAggregator:
                 lane.kills += 1
             if rank is not None:
                 self._dead.add(rank)
-            self._open_kills.append((t, rank))
             self._observe_alive(t, rec)
         elif kind == "rank_dead":
             if rank is not None and rank not in self._dead:
@@ -310,9 +293,9 @@ class TimeSeriesAggregator:
         elif kind in RECOVERY_DONE_KINDS:
             if lane is not None and lane.state == "dead":
                 lane.state = "recovered"
-            for t_kill, _ in self._open_kills:
-                self.series["recovery_latency_s"].observe(t, t - t_kill, rec)
-            self._open_kills.clear()
+            for episode in recovered:
+                self.series["recovery_latency_s"].observe(
+                    t, t - episode.time, rec)
         elif kind == "comm_create":
             members = rec.fields.get("members") or []
             if len(members) > self._world_size:
@@ -368,7 +351,7 @@ class TimeSeriesAggregator:
     @property
     def open_recoveries(self) -> int:
         """Kills whose data recovery has not completed yet."""
-        return len(self._open_kills)
+        return self._recoveries.open_recoveries
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready state (the export/check surface)."""

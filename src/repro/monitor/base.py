@@ -11,27 +11,10 @@ after the engine drains and fails the run there when strict.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.monitor.violations import InvariantViolation
 from repro.sim.trace import Trace, TraceRecord
-
-#: per-layer rank sources: ``veloc.rank3``, ``imr.rank3``, ``kr.rank3``
-_LAYER_RANK = re.compile(r"^(veloc|imr|kr)\.rank(\d+)$")
-
-#: world-level liveness events (source is the world name, which varies)
-LIFECYCLE_KINDS = frozenset({
-    "rank_killed", "rank_crashed", "rank_dead", "rank_exit",
-})
-
-
-def layer_rank(source: str) -> Optional[Tuple[str, int]]:
-    """``("veloc", 3)`` for ``veloc.rank3``; None for other sources."""
-    m = _LAYER_RANK.match(source)
-    if m:
-        return (m.group(1), int(m.group(2)))
-    return None
 
 
 class ProtocolMonitor:

@@ -19,25 +19,16 @@ formatter (:func:`repro.telemetry.timeline.format_rows`).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.sim.recovery import (
+    DEATH_KINDS,
+    KILL_KINDS,
+    RECOVERY_DONE_KINDS,
+    recovery_episodes,
+)
 from repro.sim.trace import TraceRecord
 from repro.telemetry.timeline import format_rows
-
-#: record kinds that mark a failed process (stage t0 anchors)
-KILL_KINDS = ("rank_killed", "rank_crashed")
-
-#: record kinds proving the first resumed protected step *completed*
-#: (restores happen inside that step, so the boundary must be its end)
-REENTRY_KINDS = ("kr_region_commit", "checkpoint", "imr_store")
-
-
-def find_failures(records: Sequence[TraceRecord],
-                  rank: Optional[int] = None) -> List[TraceRecord]:
-    """All kill records (optionally restricted to one world rank)."""
-    return [r for r in records
-            if r.kind in KILL_KINDS
-            and (rank is None or r.fields.get("rank") == rank)]
 
 
 def _row(rec: TraceRecord, i: int) -> Tuple[float, int, str, str, str]:
@@ -68,22 +59,19 @@ def explain_failure(records: Sequence[TraceRecord],
     in the trace); ``occurrence`` selects among multiple kills of the
     same rank.
     """
-    kills = find_failures(records, rank=rank)
-    if not kills:
+    episodes = [ep for ep in recovery_episodes(records)
+                if rank is None or ep.kill.fields.get("rank") == rank]
+    if not episodes:
         target = f"rank {rank}" if rank is not None else "any rank"
         return f"no failure found for {target} in {len(records)} records"
-    if occurrence >= len(kills):
-        return (f"only {len(kills)} failure(s) found; "
+    if occurrence >= len(episodes):
+        return (f"only {len(episodes)} failure(s) found; "
                 f"occurrence {occurrence} out of range")
-    kill = kills[occurrence]
+    episode = episodes[occurrence]
+    kill, repair = episode.kill, episode.repair
     dead_rank = kill.fields.get("rank")
     idx = records.index(kill)
     after = records[idx + 1:]
-
-    # the repair that resolves this failure: first repair/abort after it
-    repair = next((r for r in after
-                   if r.source == "fenix" and r.kind in ("repair", "abort")),
-                  None)
     upto_repair = (after[:after.index(repair)] if repair is not None
                    else list(after))
 
@@ -92,7 +80,7 @@ def explain_failure(records: Sequence[TraceRecord],
     t1 = [r for r in upto_repair if r.kind in ("detect", "revoke")]
     t2 = [r for r in upto_repair if r.kind == "gate_arrive"]
     late_deaths = [r for r in upto_repair
-                   if r.kind in KILL_KINDS + ("rank_dead",)
+                   if r.kind in DEATH_KINDS
                    and r.fields.get("rank") != dead_rank]
     t3 = [r for r in upto_repair
           if r.kind in ("spare_activated",)
@@ -145,9 +133,10 @@ def explain_failure(records: Sequence[TraceRecord],
     window = post[:post.index(next_kill)] if next_kill is not None else post
     t4 = [r for r in window
           if r.source == "fenix" and r.kind in ("role", "agree")]
-    reentry = next((r for r in window if r.kind in REENTRY_KINDS), None)
+    reentry = episode.reentry
     restores = [r for r in window
-                if r.kind in ("recover", "imr_restore", "imr_buddy_recv")
+                if (r.kind in RECOVERY_DONE_KINDS
+                    or r.kind == "imr_buddy_recv")
                 and (reentry is None or r.seq <= reentry.seq)]
 
     lines.extend(_section(

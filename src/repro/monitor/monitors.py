@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.monitor.base import ProtocolMonitor, layer_rank
+from repro.monitor.base import ProtocolMonitor
+from repro.sim.recovery import identity_rank
 from repro.sim.trace import TraceRecord
 
 
@@ -281,8 +282,8 @@ class VersionMonitor(ProtocolMonitor):
             # legitimately replay version numbers after losing state
             self._last.clear()
             return
-        lr = layer_rank(rec.source)
-        if lr is None or lr[0] != "veloc":
+        if (not rec.source.startswith("veloc.")
+                or identity_rank(rec.source) is None):
             return
         if kind == "checkpoint":
             version = int(rec["version"])
@@ -329,9 +330,10 @@ class FlushMonitor(ProtocolMonitor):
 
     def feed(self, rec: TraceRecord) -> None:
         kind = rec.kind
-        lr = layer_rank(rec.source)
-        if kind == "checkpoint" and lr is not None and lr[0] == "veloc":
-            self._ckpt[(lr[1], int(rec["version"]))] = rec
+        rank = (identity_rank(rec.source)
+                if rec.source.startswith("veloc.") else None)
+        if kind == "checkpoint" and rank is not None:
+            self._ckpt[(rank, int(rec["version"]))] = rec
         elif kind == "flush_done":
             pair = self._key_pair(rec.fields.get("key"))
             if pair is None:
@@ -344,9 +346,9 @@ class FlushMonitor(ProtocolMonitor):
                     [rec],
                 )
             self._flushed[pair] = rec
-        elif (kind == "recover" and lr is not None and lr[0] == "veloc"
+        elif (kind == "recover" and rank is not None
                 and rec.fields.get("tier") in ("pfs", "bb")):
-            pair = (lr[1], int(rec["version"]))
+            pair = (rank, int(rec["version"]))
             if pair not in self._flushed:
                 chain = ([self._ckpt[pair]] if pair in self._ckpt else []) + [rec]
                 self.violate(
@@ -380,10 +382,11 @@ class BuddyMonitor(ProtocolMonitor):
         return best
 
     def feed(self, rec: TraceRecord) -> None:
-        lr = layer_rank(rec.source)
-        if lr is None or lr[0] != "imr":
+        if not rec.source.startswith("imr."):
             return
-        rank = lr[1]
+        rank = identity_rank(rec.source)
+        if rank is None:
+            return
         kind = rec.kind
         if kind == "imr_store":
             self._stored[self._key(rank, rec)] = rec

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.monitor.base import layer_rank
+from repro.sim.recovery import identity_rank
 from repro.sim.trace import TraceRecord
 
 
@@ -86,10 +86,10 @@ class ProtocolStateTracker:
             for st in self.ranks.values():
                 st.at_gate = False
         else:
-            lr = layer_rank(rec.source)
-            if lr is None:
+            layer = rec.source.partition(".")[0]
+            comm_rank = identity_rank(rec.source)
+            if comm_rank is None or layer not in ("veloc", "imr", "kr"):
                 return
-            layer, comm_rank = lr
             st = self._rank(self._world_of(comm_rank))
             if layer == "veloc" and kind == "checkpoint":
                 st.last_checkpoint = int(rec["version"])

@@ -13,7 +13,7 @@ Three consumers of one span stream:
 regression mode for CI overhead budgets.
 """
 
-from repro.profile.categories import CATEGORIES, LAYER_OF
+from repro.profile.categories import CATEGORIES
 from repro.profile.critical_path import (
     CriticalPath,
     extract_critical_path,
@@ -30,7 +30,6 @@ from repro.profile.ledger import (
 
 __all__ = [
     "CATEGORIES",
-    "LAYER_OF",
     "ConservationError",
     "CriticalPath",
     "ProfileLedger",

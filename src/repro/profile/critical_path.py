@@ -10,23 +10,24 @@ recompute), so the report answers "which layer bounds recovery time?".
 
 Works on the span/instant stream (:class:`~repro.telemetry.spans.Tracer`);
 fail-restart strategies (no Fenix repair) are walked through the job
-teardown/relaunch spans instead of the repair gate.
+teardown/relaunch spans instead of the repair gate.  One failure's
+window runs from its kill to the next kill (the ``next_kill`` anchor of
+:class:`repro.sim.recovery.RecoveryWalk`), and every span is charged to
+its world rank, so a substituted spare's recovery is its own chain.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-_RANK = re.compile(r"^rank(\d+)$")
-
-#: span names whose completion proves the rank has resumed protected
-#: progress (mirrors repro.monitor.explain.REENTRY_KINDS)
-_REENTRY_SPANS = ("kr.commit", "veloc.checkpoint", "imr.store")
-
-#: span names of the data-recovery stage
-_RECOVER_SPANS = ("veloc.recover", "imr.restore")
+from repro.sim.recovery import (
+    KILL_KINDS,
+    RECOVERY_DONE_SPANS,
+    REENTRY_SPANS,
+    RecoveryWalk,
+    world_rank,
+)
 
 
 @dataclass
@@ -82,27 +83,6 @@ class CriticalPath:
         }
 
 
-def _source_rank(source: str) -> Optional[int]:
-    m = _RANK.match(source)
-    return int(m.group(1)) if m else None
-
-
-def _span_world_rank(rec: Any) -> Optional[int]:
-    wrank = rec.fields.get("wrank")
-    if wrank is not None:
-        return int(wrank)
-    m = re.match(r"^(?:[\w.]+\.)?rank(\d+)$", rec.source)
-    return int(m.group(1)) if m else None
-
-
-def find_kills(telemetry: Any, rank: Optional[int] = None) -> List[Any]:
-    """All ``rank_killed`` instants, time-ordered (optionally one rank)."""
-    kills = [r for r in telemetry.tracer.instants if r.name == "rank_killed"]
-    if rank is not None:
-        kills = [r for r in kills if _source_rank(r.source) == rank]
-    return sorted(kills, key=lambda r: (r.start, r.sid))
-
-
 def extract_critical_path(
     telemetry: Any,
     rank: Optional[int] = None,
@@ -115,20 +95,23 @@ def extract_critical_path(
     Raises ``ValueError`` when the requested failure does not exist.
     """
     tracer = telemetry.tracer
-    all_kills = find_kills(telemetry)
-    kills = (all_kills if rank is None
-             else [k for k in all_kills if _source_rank(k.source) == rank])
-    if not kills:
+    walk = RecoveryWalk()
+    for k in sorted((i for i in tracer.instants if i.name in KILL_KINDS),
+                    key=lambda i: (i.start, i.sid)):
+        walk.feed(k, k.name, k.start)
+    episodes = [ep for ep in walk.episodes
+                if rank is None or world_rank(ep.kill) == rank]
+    if not episodes:
         raise ValueError("no rank_killed record"
                          + (f" for rank {rank}" if rank is not None else ""))
-    if occurrence >= len(kills):
-        raise ValueError(f"only {len(kills)} kill(s) recorded; "
+    if occurrence >= len(episodes):
+        raise ValueError(f"only {len(episodes)} kill(s) recorded; "
                          f"occurrence {occurrence} out of range")
-    kill = kills[occurrence]
-    t0 = kill.start
-    dead_rank = _source_rank(kill.source)
-    later = [k.start for k in all_kills if k.start > t0]
-    window_end = min(later) if later else float("inf")
+    episode = episodes[occurrence]
+    t0 = episode.time
+    dead_rank = world_rank(episode.kill)
+    window_end = (episode.next_kill.start if episode.next_kill is not None
+                  else float("inf"))
 
     def in_window(t: float) -> bool:
         return t0 <= t < window_end
@@ -143,16 +126,15 @@ def extract_critical_path(
         detect_of = {}
         for i in instants:
             if i.name == "fenix.detect":
-                r = _source_rank(i.source)
+                r = world_rank(i)
                 if r is not None and r not in detect_of:
                     detect_of[r] = i.start
         revokes = [i.start for i in instants if i.name == "revoke"]
         t_revoke = min(revokes) if revokes else t0
         pre_edges = None
-        participants = sorted({_source_rank(s.source) for s in repairs}
-                              - {None})
+        participants = sorted({world_rank(s) for s in repairs} - {None})
         arrival_of = {r: min(s.start for s in repairs
-                             if _source_rank(s.source) == r)
+                             if world_rank(s) == r)
                       for r in participants}
     else:
         # fail-restart: mpirun aborts the job, the harness tears it down
@@ -166,14 +148,10 @@ def extract_critical_path(
             Edge("relaunch", "process", t_teardown, t_repair),
         ]
         participants = sorted({
-            _source_rank(s.source) for s in spans
-            if s.name in _RECOVER_SPANS + _REENTRY_SPANS + ("recompute",)
-            and s.start >= t_repair and _source_rank(s.source) is not None
-        } | {
-            _span_world_rank(s) for s in spans
-            if s.name in _RECOVER_SPANS and s.start >= t_repair
-            and _span_world_rank(s) is not None
-        })
+            world_rank(s) for s in spans
+            if s.name in RECOVERY_DONE_SPANS + REENTRY_SPANS + ("recompute",)
+            and s.start >= t_repair
+        } - {None})
         detect_of, arrival_of, t_revoke = {}, {}, t0
 
     eps = 1e-12
@@ -183,16 +161,16 @@ def extract_critical_path(
         mine = [s for s in spans if s.start >= t_repair - eps]
         kr_end = max((s.end for s in mine
                       if s.name in ("kr.latest", "kr.restore")
-                      and _source_rank(s.source) == r), default=t_repair)
+                      and world_rank(s) == r), default=t_repair)
         dr_end = max((s.end for s in mine
-                      if s.name in _RECOVER_SPANS
-                      and _span_world_rank(s) == r), default=kr_end)
+                      if s.name in RECOVERY_DONE_SPANS
+                      and world_rank(s) == r), default=kr_end)
         rc = [s for s in mine
-              if s.name == "recompute" and _source_rank(s.source) == r]
+              if s.name == "recompute" and world_rank(s) == r]
         rc_end = max((s.end for s in rc), default=dr_end)
         reentry = min((s.end for s in mine
-                       if s.name in _REENTRY_SPANS
-                       and _span_world_rank(s) == r
+                       if s.name in REENTRY_SPANS
+                       and world_rank(s) == r
                        and s.end >= rc_end - eps), default=rc_end)
         return {"kr": kr_end, "recover": dr_end,
                 "recompute": rc_end, "reentry": max(reentry, rc_end)}

@@ -8,31 +8,18 @@ tracer parents, so a survivor's flame shows e.g.
 ``rank2;recompute;compute`` next to ``rank2;veloc.recover``.
 
 Layer tracks (``veloc.rank3``, ``imr.rank3``, ``kr.rank3``) are folded
-into the owning *world* rank's root frame using the spans' ``wrank``
-field, so a replacement spare's recovery work lands under its own rank
-even though it adopts the dead rank's checkpoint identity.
+into the owning *world* rank's root frame
+(:func:`repro.sim.recovery.world_rank`), so a replacement spare's
+recovery work lands under its own rank even though it adopts the dead
+rank's checkpoint identity.
 """
 
 from __future__ import annotations
 
 import io
-import re
 from typing import Any, Dict, List, Optional, TextIO, Union
 
-_WORLD = re.compile(r"^rank(\d+)$")
-_LAYER = re.compile(r"^[\w.]+\.rank(\d+)$")
-
-
-def _root_frame(source: str, fields: Dict[str, Any]) -> str:
-    """Track name for a span: world-rank sources keep their name; layer
-    sources fold into ``rank<wrank>`` when the world rank is known."""
-    if _WORLD.match(source):
-        return source
-    m = _LAYER.match(source)
-    if m:
-        wrank = fields.get("wrank")
-        return f"rank{int(wrank)}" if wrank is not None else source
-    return source
+from repro.sim.recovery import world_rank
 
 
 def folded_stacks(telemetry: Any) -> Dict[str, int]:
@@ -65,7 +52,8 @@ def folded_stacks(telemetry: Any) -> Dict[str, int]:
         while cur is not None:
             frames.append(cur.name)
             cur = by_sid.get(cur.parent) if cur.parent is not None else None
-        frames.append(_root_frame(rec.source, rec.fields))
+        rank = world_rank(rec)
+        frames.append(f"rank{rank}" if rank is not None else rec.source)
         return ";".join(reversed(frames))
 
     out: Dict[str, int] = {}

@@ -16,12 +16,12 @@ failed MPI wait into ``failure_detection``).
 
 Identity notes:
 
-- sources named ``rankN`` belong to world rank N;
-- sources named ``<layer>.rankN`` (``veloc.rank2``, ``imr.rank2``) use
-  the span's ``wrank`` field when present -- under Fenix's in-place
-  repair a replacement process adopts the dead rank's checkpoint id, so
-  the track number alone would attribute the replacement's recovery work
-  to the corpse;
+- every span and instant belongs to its world rank
+  (:func:`repro.sim.recovery.world_rank`): the ``rank``/``wrank`` field,
+  else the N of a ``rankN`` or ``<layer>.rankN`` source.  Under Fenix's
+  in-place repair a replacement process adopts the dead rank's
+  checkpoint id, so the track number alone would attribute the
+  replacement's recovery work (``veloc.rank2`` spans) to the corpse;
 - ring-buffer drops in the legacy :class:`~repro.sim.trace.Trace` are
   surfaced on the ledger (``dropped``/``dropped_window``) so consumers
   can refuse to trust an attribution built over an evicted window.
@@ -29,7 +29,6 @@ Identity notes:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -42,9 +41,7 @@ from repro.profile.categories import (
     IDLE,
     categorize,
 )
-
-_RANK_TRACK = re.compile(r"^rank(\d+)$")
-_LAYER_RANK_TRACK = re.compile(r"^[\w.]+\.rank(\d+)$")
+from repro.sim.recovery import DEATH_KINDS, world_rank
 
 #: priority of the synthesized post-kill detection segment: above
 #: app-MPI and recompute (a rank hanging on a corpse is detecting, not
@@ -163,17 +160,6 @@ class ProfileLedger:
         }
 
 
-def _world_rank_of(source: str, fields: Dict[str, Any]) -> Optional[int]:
-    m = _RANK_TRACK.match(source)
-    if m:
-        return int(m.group(1))
-    m = _LAYER_RANK_TRACK.match(source)
-    if m:
-        wrank = fields.get("wrank")
-        return int(wrank) if wrank is not None else int(m.group(1))
-    return None
-
-
 def _collect(telemetry: Any) -> Tuple[
     Dict[int, List[_Interval]], Dict[int, List[float]], List[float]
 ]:
@@ -196,19 +182,14 @@ def _collect(telemetry: Any) -> Tuple[
     deaths: List[float] = []
 
     for rec in tracer.instants:
-        if rec.name in ("rank_dead", "rank_killed"):
+        if rec.name in DEATH_KINDS:
             deaths.append(rec.start)
-        if rec.name == "rank_spawn":
-            rank = rec.fields.get("rank")
-            if rank is not None:
-                marks.setdefault(int(rank), []).append(rec.start)
-            continue
-        rank = _world_rank_of(rec.source, rec.fields)
+        rank = world_rank(rec)
         if rank is not None:
             marks.setdefault(rank, []).append(rec.start)
 
     for order, rec in enumerate(tracer.spans):
-        rank = _world_rank_of(rec.source, rec.fields)
+        rank = world_rank(rec)
         if rank is None:
             continue
         end = rec.end if rec.end is not None else end_of_time

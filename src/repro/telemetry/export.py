@@ -6,7 +6,10 @@ numeric order (``rank0``, ``rank1``, ...), then protocol tracks
 (``fenix``, ``mpi``, ``engine``, ``job``), then per-node VeloC server
 tracks.  Sources named ``*.rankN`` (legacy :class:`~repro.sim.trace.Trace`
 records such as ``veloc.rank3``) are folded onto rank N's track so one
-row tells a rank's whole story across all three resilience layers.
+row tells a rank's whole story across all three resilience layers.  N
+is the *identity* rank (:func:`repro.sim.recovery.identity_rank`): a
+substituted spare's VeloC spans land on the dead rank's track, next to
+the checkpoints they restore.
 
 Times are simulated seconds; the trace-event ``ts``/``dur`` fields are
 microseconds, matching what Perfetto expects.
@@ -15,10 +18,9 @@ microseconds, matching what Perfetto expects.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, List, Optional, Tuple
 
-_RANK_SUFFIX = re.compile(r"^(?:[\w.]+\.)?rank(\d+)$")
+from repro.sim.recovery import identity_rank
 
 #: event phases this exporter emits (the subset the validator accepts)
 PHASES = {"X", "i", "M"}
@@ -26,17 +28,15 @@ PHASES = {"X", "i", "M"}
 
 def track_for_source(source: str) -> str:
     """Fold per-layer rank sources (``veloc.rank3``, ``imr.rank3``) onto
-    the process-rank track (``rank3``)."""
-    m = _RANK_SUFFIX.match(source)
-    if m:
-        return f"rank{m.group(1)}"
-    return source
+    the process-rank track (``rank3``) of their identity rank."""
+    rank = identity_rank(source)
+    return f"rank{rank}" if rank is not None else source
 
 
 def _track_sort_key(track: str) -> Tuple[int, int, str]:
-    m = re.match(r"^rank(\d+)$", track)
-    if m:
-        return (0, int(m.group(1)), track)
+    rank = identity_rank(track)
+    if rank is not None:
+        return (0, rank, track)
     order = {"fenix": 1, "mpi": 2, "engine": 3, "job": 4}
     if track in order:
         return (order[track], 0, track)

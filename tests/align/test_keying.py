@@ -5,11 +5,10 @@ from repro.align.keying import (
     ANCHOR_KINDS,
     canonical_fields,
     key_records,
-    layer_of,
     protocol_critical,
     record_epoch,
-    record_wrank,
 )
+from repro.sim.recovery import layer_of, world_rank
 from repro.sim.trace import TraceRecord
 from repro.telemetry.sampling import record_sampleable
 
@@ -21,22 +20,29 @@ def rec(time=0.0, source="veloc.rank3", kind="checkpoint", **fields):
 # -- wrank ---------------------------------------------------------------
 
 
+def key_wrank(record):
+    return key_records([record])[0].wrank
+
+
 def test_wrank_prefers_explicit_rank_field():
-    assert record_wrank(rec(source="veloc.rank3", rank=7)) == 7
+    assert world_rank(rec(source="veloc.rank3", rank=7)) == 7
+    assert key_wrank(rec(source="veloc.rank3", rank=7)) == 7
 
 
 def test_wrank_from_per_rank_source_suffix():
-    assert record_wrank(rec(source="kr.rank0")) == 0
-    assert record_wrank(rec(source="imr.rank12")) == 12
+    assert world_rank(rec(source="kr.rank0")) == 0
+    assert world_rank(rec(source="imr.rank12")) == 12
+    assert key_wrank(rec(source="imr.rank12")) == 12
 
 
 def test_wrank_from_spare_and_member_fields():
-    assert record_wrank(rec(source="fenix", spare=4)) == 4
-    assert record_wrank(rec(source="fenix", member=2)) == 2
+    assert key_wrank(rec(source="fenix", spare=4)) == 4
+    assert key_wrank(rec(source="fenix", member=2)) == 2
 
 
 def test_wrank_none_for_global_records():
-    assert record_wrank(rec(source="mpi", kind="revoke")) is None
+    assert world_rank(rec(source="mpi", kind="revoke")) is None
+    assert key_wrank(rec(source="mpi", kind="revoke")) is None
 
 
 # -- epoch ---------------------------------------------------------------

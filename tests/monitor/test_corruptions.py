@@ -9,7 +9,8 @@ these prove the monitors check the protocol rather than the workload.
 
 import dataclasses
 
-from repro.monitor import MonitorSuite, layer_rank, standard_monitors
+from repro.monitor import MonitorSuite, standard_monitors
+from repro.sim.recovery import identity_rank
 
 
 def check(records):
@@ -69,7 +70,7 @@ class TestRestoredUnflushedVersion:
         recover = next(r for r in clean
                        if r.kind == "recover"
                        and r.fields.get("tier") in ("bb", "pfs"))
-        rank = layer_rank(recover.source)[1]
+        rank = identity_rank(recover.source)
         version = recover.fields["version"]
 
         def backs(rec):

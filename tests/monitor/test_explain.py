@@ -1,6 +1,13 @@
 """The post-mortem explainer walks a failure from kill to re-entry."""
 
-from repro.monitor.explain import explain_failure, find_failures
+from repro.monitor.explain import explain_failure
+from repro.sim.recovery import recovery_episodes
+
+
+def find_failures(records, rank=None):
+    """The kill of every recovery episode (optionally one world rank's)."""
+    return [ep.kill for ep in recovery_episodes(records)
+            if rank is None or ep.kill.fields["rank"] == rank]
 
 STAGES = (
     "t0 failure",

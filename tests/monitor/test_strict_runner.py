@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.heatdis import HeatdisConfig
 from repro.experiments.common import paper_env
-from repro.harness.runner import run_heatdis_job, strict_monitor_default
+from repro.harness.runner import env_flag, run_heatdis_job
 from repro.monitor import (
     InvariantViolationError,
     MonitorSuite,
@@ -61,11 +61,11 @@ class TestEnvDefault:
     ])
     def test_env_values(self, monkeypatch, value, expected):
         monkeypatch.setenv("REPRO_STRICT_MONITOR", value)
-        assert strict_monitor_default() is expected
+        assert env_flag("REPRO_STRICT_MONITOR") is expected
 
     def test_unset_is_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT_MONITOR", raising=False)
-        assert strict_monitor_default() is False
+        assert env_flag("REPRO_STRICT_MONITOR") is False
 
     def test_env_turns_on_strict_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_STRICT_MONITOR", "1")
