@@ -213,6 +213,13 @@ def heatdis_reference(cfg: HeatdisConfig, n_ranks: int, n_iters: int) -> np.ndar
     return grid[1:-1, :]
 
 
+def check_heatdis_config(cfg: HeatdisConfig, partial_rollback: bool) -> None:
+    """Raise :class:`ConfigError` if ``cfg`` cannot run the requested
+    variant (job front doors call this before the simulation starts)."""
+    if partial_rollback and cfg.convergence_threshold is None:
+        raise ConfigError("partial rollback requires a convergence threshold")
+
+
 def make_heatdis_main(
     cfg: HeatdisConfig,
     make_kr: "Any",
@@ -237,8 +244,7 @@ def make_heatdis_main(
     :meth:`FenixSystem.run` (also runnable without Fenix via the harness's
     relaunch driver, which passes ``Role.INITIAL``).
     """
-    if partial_rollback and cfg.convergence_threshold is None:
-        raise ConfigError("partial rollback requires a convergence threshold")
+    check_heatdis_config(cfg, partial_rollback)
 
     def main(role: Role, h: CommHandle) -> Generator[Event, Any, Any]:
         ctx = h.ctx

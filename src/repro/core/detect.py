@@ -11,6 +11,11 @@ walks:
   structs holding views);
 - nested functions found in captures (their closures recursed).
 
+MPI plumbing -- communicator handles and the communicators behind them
+-- is a leaf: it never holds application data, and walking it would
+visit per-rank tables as large as the communicator, making every walk
+cost O(P) host work.
+
 Views are returned in first-discovery order, with *object-level*
 de-duplication only; buffer-level de-duplication ("skipped" views) and
 alias exclusion are the registry census's job, so the caller can report
@@ -23,8 +28,13 @@ import functools
 from typing import Any, Callable, List, Set
 
 from repro.kokkos.view import View
+from repro.mpi.comm import Communicator
+from repro.mpi.handle import CommHandle
 
 _MAX_DEPTH = 4
+
+#: never descended into (see the module docstring)
+_LEAVES = (CommHandle, Communicator)
 
 
 def discover_views(fn: Callable, extra: Any = None) -> List[View]:
@@ -45,6 +55,8 @@ def discover_views(fn: Callable, extra: Any = None) -> List[View]:
             if oid not in seen_objects:
                 seen_objects.add(oid)
                 found.append(obj)
+            return
+        if isinstance(obj, _LEAVES):
             return
         if callable(obj) and (
             hasattr(obj, "__closure__") or isinstance(obj, functools.partial)

@@ -151,8 +151,12 @@ class FenixSystem:
         self.detections: List[Dict[str, Any]] = []
         self._finalize_arrived: set = set()
         self._finalize_waiters: Dict[int, Event] = {}
+        #: alive members of ``_finalize_comm`` not yet arrived at finalize,
+        #: built once per communicator so each arrival or death is O(1)
+        self._finalize_comm: Optional[Communicator] = None
+        self._finalize_pending: set = set()
         # a death during finalize must re-evaluate the completion set
-        world.add_death_listener(lambda _rank: self._recheck_finalize())
+        world.add_death_listener(self._recheck_finalize)
 
     # -- public configuration ------------------------------------------------
 
@@ -380,22 +384,28 @@ class FenixSystem:
         self.world.trace.emit(
             self.world.engine.now, "fenix", "finalize_arrive", rank=ctx.rank,
         )
-        if self._recheck_finalize():
+        if self._recheck_finalize(ctx.rank):
             return
         ev = self.world.engine.event(name=f"fenix.finalize:{ctx.rank}")
         self._finalize_waiters[ctx.rank] = ev
         yield ev
 
-    def _recheck_finalize(self) -> bool:
+    def _recheck_finalize(self, gone: int) -> bool:
         """Complete the finalize rendezvous if every alive active member
-        has arrived (re-run on rank deaths so a mid-finalize failure
-        cannot hang the others)."""
+        has arrived.  ``gone`` is the world rank that just arrived or
+        died; the check is re-run on rank deaths so a mid-finalize
+        failure cannot hang the others."""
         if not self._finalize_arrived:
             return False
-        active_alive = {
-            w for w in self.resilient_comm.members if self.world.is_alive(w)
-        }
-        if not active_alive.issubset(self._finalize_arrived):
+        comm = self.resilient_comm
+        if self._finalize_comm is not comm:
+            self._finalize_comm = comm
+            self._finalize_pending = {
+                w for w in comm.members
+                if self.world.is_alive(w) and w not in self._finalize_arrived
+            }
+        self._finalize_pending.discard(gone)
+        if self._finalize_pending:
             return False
         self.world.signal_job_done()
         waiters, self._finalize_waiters = self._finalize_waiters, {}

@@ -20,7 +20,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.apps.heatdis import HeatdisConfig, make_heatdis_main
+from repro.apps.heatdis import (
+    HeatdisConfig, check_heatdis_config, make_heatdis_main,
+)
 from repro.apps.heatdis2d import Heatdis2DConfig, make_heatdis2d_main
 from repro.apps.heatdis_manual import make_manual_heatdis_main
 from repro.apps.minimd import MiniMDConfig, make_minimd_main
@@ -579,6 +581,9 @@ def run_heatdis_job(
     attaches the divergences to ``RunReport.divergences``.
     """
     strategy = STRATEGIES[strategy_name]
+    partial_rollback = strategy.scope == "recovered_only"
+    # at the front door, not inside the simulated job driver
+    check_heatdis_config(cfg, partial_rollback)
 
     def build_main(runner, world, imr, plan, results, tracker):
         if strategy.kr or not strategy.checkpointing:
@@ -590,7 +595,7 @@ def run_heatdis_job(
                 cfg,
                 make_kr,
                 failure_plan=plan,
-                partial_rollback=(strategy.scope == "recovered_only"),
+                partial_rollback=partial_rollback,
                 results=results,
                 tracker=tracker,
             )

@@ -44,7 +44,9 @@ def try_fail(event: Event, exc: BaseException) -> None:
         event.fail(exc)
 
 
-@dataclass
+# eq=False: queue entries are distinct objects, so ``list.remove`` matches
+# by identity instead of comparing every earlier entry field by field
+@dataclass(eq=False)
 class PendingSend:
     """A sent message not yet matched by a receive (the unexpected queue)."""
 
@@ -56,7 +58,7 @@ class PendingSend:
     done: Event
 
 
-@dataclass
+@dataclass(eq=False)
 class PostedRecv:
     """A receive posted before its matching send arrived."""
 
@@ -188,7 +190,9 @@ class Communicator:
         return [i for i in range(self.size) if self.is_alive(i)]
 
     def failed_members(self) -> List[int]:
-        return [i for i in range(self.size) if not self.is_alive(i)]
+        """Dead members' comm ranks, ascending; O(dead ranks), not O(P)."""
+        rank_of = self._rank_of
+        return sorted(rank_of[w] for w in self.world.dead if w in rank_of)
 
     def agreement_latency(self) -> float:
         """Modelled latency of one agreement round: 2 * ceil(log2 P) hops."""

@@ -25,7 +25,7 @@ from typing import Any, Generator, List, Optional
 from repro.mpi.comm import Communicator
 from repro.mpi.errors import MPIError
 from repro.mpi.ops import ReduceOp, SUM
-from repro.mpi.status import ANY_SOURCE, ANY_TAG, Request, Status
+from repro.mpi.status import ANY_SOURCE, ANY_TAG, Request, Status, payload_nbytes
 from repro.sim.engine import Event
 from repro.util.errors import SimulationError
 
@@ -219,7 +219,9 @@ class CommHandle:
             while mask < size:
                 if rel & mask:
                     src = (rel - mask + root) % size
-                    value, _ = yield comm.recv_op(self._rank, src, tag)
+                    value, status = yield comm.recv_op(self._rank, src, tag)
+                    # forward with the size the root measured
+                    nbytes = status.nbytes
                     break
                 mask <<= 1
         else:
@@ -229,6 +231,10 @@ class CommHandle:
         sends = []
         while mask > 0:
             if rel + mask < size:
+                if nbytes is None:
+                    # the root sizes the payload once per broadcast, not
+                    # once per tree edge
+                    nbytes = payload_nbytes(value)
                 dst = (rel + mask + root) % size
                 sends.append(comm.send_op(self._rank, dst, tag, value, nbytes))
             mask >>= 1

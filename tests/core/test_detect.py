@@ -1,11 +1,15 @@
 """View discovery from checkpoint-region functions."""
 
 import functools
+import sys
 
 import numpy as np
 
+import repro.core.detect as detect
 from repro.core import discover_views
 from repro.kokkos import KokkosRuntime
+from repro.mpi import World
+from tests.mpi.conftest import small_cluster
 
 
 def test_closure_capture():
@@ -142,3 +146,38 @@ def test_depth_bound_terminates_on_cycles():
         return a
 
     assert v in discover_views(region)
+
+
+def _discover_counting_calls(fn):
+    """``discover_views(fn)`` plus the Python calls the walk made."""
+    calls = 0
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == detect.__file__:
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        found = discover_views(fn)
+    finally:
+        sys.setprofile(None)
+    return found, calls
+
+
+def test_communicator_handle_is_a_leaf():
+    # a region capturing its MPI handle (Heatdis's does) must not walk the
+    # communicator's per-rank tables: discovery cost is independent of P
+    def walk(n_ranks):
+        world = World(small_cluster(n_ranks // 4), n_ranks, ranks_per_node=4)
+        h = world.comm_world_handle(0)
+        v = KokkosRuntime().view("u", shape=(2,))
+
+        def region():
+            v[0] = h.rank
+
+        found, calls = _discover_counting_calls(region)
+        assert found == [v]
+        return calls
+
+    assert walk(4) == walk(64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps import HeatdisConfig
 from repro.harness import STRATEGIES, run_heatdis_job, run_minimd_job
 from repro.harness.report import (
     HEATDIS_CATEGORIES,
@@ -49,6 +50,13 @@ class TestCleanRuns:
         base = grids.pop("none")
         for strategy, grid in grids.items():
             np.testing.assert_array_equal(base, grid, err_msg=strategy)
+
+    def test_partial_rollback_without_threshold_fails_at_front_door(self):
+        # a ConfigError before the engine starts, not a SimulationError
+        # wrapping it from inside the simulated job driver
+        with pytest.raises(ConfigError, match="convergence threshold"):
+            run_heatdis_job(small_env(), "fenix_kr_partial", 4,
+                            HeatdisConfig(n_iters=10), 3)
 
     def test_wall_time_exceeds_accounted(self, heat_cfg):
         rep = run_heatdis_job(small_env(), "fenix_kr_veloc", 4, heat_cfg, CKPT)

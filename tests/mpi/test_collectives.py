@@ -192,6 +192,38 @@ class TestGatherScatter:
         for r in range(size):
             assert results[r] == expected
 
+    def test_allgather_sizes_the_broadcast_once(self, monkeypatch):
+        # every rank sizes its own gather contribution; the gathered list
+        # is sized once, by the root, and forwarded with its Status size
+        import repro.mpi.comm as comm_mod
+        import repro.mpi.handle as handle_mod
+
+        size = 64
+        sized = []
+        original = comm_mod.payload_nbytes
+
+        def counting(payload):
+            if isinstance(payload, list) and len(payload) == size:
+                sized.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(comm_mod, "payload_nbytes", counting)
+        monkeypatch.setattr(handle_mod, "payload_nbytes", counting,
+                            raising=False)
+
+        def body(h):
+            got = yield from h.allgather(h.rank**2)
+            return got
+
+        results, world = run_ranks(size, body)
+        assert all(results[r] == [q**2 for q in range(size)]
+                   for r in range(size))
+        assert len(sized) == 1
+        # wire traffic is what it was when every hop re-sized the list:
+        # 63 gather sends of 8 B, 63 broadcast sends of 16 + 64 * 8 B
+        assert world.network.messages_sent == 126
+        assert world.network.bytes_sent == 63 * 8.0 + 63 * 528.0
+
 
 class TestAlltoall:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 6])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG
-from tests.mpi.conftest import run_ranks
+from repro.mpi import ANY_SOURCE, ANY_TAG, World
+from repro.mpi.comm import PendingSend, PostedRecv
+from tests.mpi.conftest import run_ranks, small_cluster
 
 
 class TestBasicSendRecv:
@@ -196,3 +197,49 @@ class TestTimingAndSizes:
 
         results, _ = run_ranks(2, body)
         assert results[1] is None
+
+
+class TestMatchingQueues:
+    """Queue entries are removed by identity: removing one never compares
+    it field by field against every entry queued before it."""
+
+    @pytest.fixture
+    def eq_calls(self, monkeypatch):
+        calls = []
+        for cls in (PendingSend, PostedRecv):
+            generated = cls.__dict__.get("__eq__")
+            if generated is not None:
+                def counting(a, b, _eq=generated):
+                    calls.append(type(a).__name__)
+                    return _eq(a, b)
+                monkeypatch.setattr(cls, "__eq__", counting)
+        return calls
+
+    def test_identical_sends_match_in_posting_order(self, eq_calls):
+        cluster = small_cluster(3)
+        comm = World(cluster, 3).comm_world
+        comm.send_op(2, 0, 9, "unrelated")  # queued ahead of both
+        first = comm.send_op(0, 1, 5, "same")
+        second = comm.send_op(0, 1, 5, "same")
+        _, queued_first, queued_second = comm._unexpected
+        assert queued_first.done is first and queued_second.done is second
+        comm.recv_op(1, 0, 5)
+        assert comm._unexpected[1] is queued_second
+        comm.recv_op(1, 0, 5)
+        assert len(comm._unexpected) == 1
+        cluster.engine.run()
+        assert first.processed and second.processed
+        assert eq_calls == []
+
+    def test_identical_receives_match_in_posting_order(self, eq_calls):
+        cluster = small_cluster(3)
+        comm = World(cluster, 3).comm_world
+        comm.recv_op(0, 2, 9)  # posted ahead of both, never matched
+        recv_a = comm.recv_op(1, 0, 5)
+        recv_b = comm.recv_op(1, 0, 5)
+        comm.send_op(0, 1, 5, "a")
+        comm.send_op(0, 1, 5, "b")
+        assert len(comm._posted) == 1
+        cluster.engine.run(until=1.0)
+        assert recv_a.value[0] == "a" and recv_b.value[0] == "b"
+        assert eq_calls == []
