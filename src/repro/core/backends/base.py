@@ -56,16 +56,3 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def reset(self, comm: CommHandle) -> None:
         """Adopt a repaired communicator and refresh cached identity."""
-
-    # -- shared helper -------------------------------------------------------
-
-    @staticmethod
-    def _intersect_versions(
-        comm: CommHandle, local: Set[int]
-    ) -> Generator[Event, Any, int]:
-        """Allgather-and-intersect version sets; returns max common or -1."""
-        all_sets = yield from comm.allgather(sorted(local))
-        common = set(all_sets[0])
-        for s in all_sets[1:]:
-            common &= set(s)
-        return max(common) if common else -1

@@ -16,6 +16,7 @@ from repro.fenix.imr import IMRStore
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.engine import Event
+from repro.veloc.client import intersect_versions
 
 
 class FenixIMRBackend(Backend):
@@ -62,7 +63,7 @@ class FenixIMRBackend(Backend):
         return common
 
     def latest_version(self) -> Generator[Event, Any, int]:
-        result = yield from self._intersect_versions(self.comm, self.local_versions())
+        result = yield from intersect_versions(self.comm, self.local_versions())
         return result
 
     def reset(self, comm: CommHandle) -> None:

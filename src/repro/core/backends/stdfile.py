@@ -17,6 +17,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.engine import Event
 from repro.util.errors import ReproError
 from repro.util.timing import CHECKPOINT_FUNCTION, DATA_RECOVERY
+from repro.veloc.client import intersect_versions
 
 
 class StdFileBackend(Backend):
@@ -76,7 +77,7 @@ class StdFileBackend(Backend):
         return found
 
     def latest_version(self) -> Generator[Event, Any, int]:
-        result = yield from self._intersect_versions(self.comm, self.local_versions())
+        result = yield from intersect_versions(self.comm, self.local_versions())
         return result
 
     def reset(self, comm: CommHandle) -> None:

@@ -22,7 +22,7 @@ from repro.core.backends.base import Backend, region_id_for
 from repro.kokkos.view import View
 from repro.mpi.handle import CommHandle
 from repro.sim.engine import Event
-from repro.veloc.client import VeloCClient
+from repro.veloc.client import VeloCClient, intersect_versions
 
 
 class VeloCBackend(Backend):
@@ -53,7 +53,7 @@ class VeloCBackend(Backend):
             return result
         # single mode: reduce here, over the *current* communicator
         local = self.client.local_versions()
-        result = yield from self._intersect_versions(self.comm, local)
+        result = yield from intersect_versions(self.comm, local)
         return result
 
     def reset(self, comm: CommHandle) -> None:

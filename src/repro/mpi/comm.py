@@ -21,6 +21,7 @@ ULFM semantics implemented (the subset the paper's Fenix layer relies on):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.mpi.errors import ProcFailedError, RevokedError
@@ -56,6 +57,8 @@ class PendingSend:
     payload: Any
     nbytes: float
     done: Event
+    #: posting order across the communicator's queues
+    seq: int
 
 
 @dataclass(eq=False)
@@ -66,6 +69,8 @@ class PostedRecv:
     dst: int
     tag: int  # may be ANY_TAG
     event: Event  # succeeds with (payload, Status)
+    #: posting order across the communicator's queues
+    seq: int
 
 
 class CollectiveGate:
@@ -150,8 +155,11 @@ class Communicator:
         self._world_of: List[int] = list(members)
         self._rank_of: Dict[int, int] = {w: i for i, w in enumerate(members)}
         self.revoked = False
-        self._posted: List[PostedRecv] = []
-        self._unexpected: List[PendingSend] = []
+        # matching queues keyed by destination comm rank, FIFO within each
+        # list, so a match scans only its destination's entries
+        self._posted: Dict[int, List[PostedRecv]] = {}
+        self._unexpected: Dict[int, List[PendingSend]] = {}
+        self._post_seq = 0
         self._coll_seq: Dict[int, int] = {}
         self._acked: Set[int] = set()
         self._agree_gate = CollectiveGate(self, f"{self.name}.agree", self._finalize_agree)
@@ -245,6 +253,7 @@ class Communicator:
         """Post a send; returns the completion event (succeeds at delivery)."""
         self.check_usable(peer=dst)
         size = float(nbytes) if nbytes is not None else payload_nbytes(payload)
+        self._post_seq += 1
         entry = PendingSend(
             src=src,
             dst=dst,
@@ -252,13 +261,14 @@ class Communicator:
             payload=freeze_payload(payload),
             nbytes=size,
             done=self.world.engine.event(name=f"{self.name}:send:{src}->{dst}"),
+            seq=self._post_seq,
         )
-        match = self._find_posted(entry)
-        if match is not None:
-            self._posted.remove(match)
-            self._deliver(entry, match)
+        posted = self._posted.get(dst)
+        i = self._find_posted(posted, src, tag)
+        if i >= 0:
+            self._deliver(entry, posted.pop(i))
         else:
-            self._unexpected.append(entry)
+            self._unexpected.setdefault(dst, []).append(entry)
             if size <= self.eager_limit:
                 # Eager: sender completes after local injection; delivery
                 # happens when the receive is eventually posted.
@@ -270,34 +280,35 @@ class Communicator:
         """Post a receive; event succeeds with ``(payload, Status)``."""
         # Check the unexpected queue first: a message sent before its
         # sender died is still deliverable (the data already left).
+        self._post_seq += 1
         posted = PostedRecv(
             src=src,
             dst=dst,
             tag=tag,
             event=self.world.engine.event(name=f"{self.name}:recv:{dst}<-{src}"),
+            seq=self._post_seq,
         )
-        pending = self._find_unexpected(posted)
-        if pending is not None:
-            self._unexpected.remove(pending)
-            self._deliver(pending, posted)
+        unexpected = self._unexpected.get(dst)
+        i = self._find_unexpected(unexpected, src, tag)
+        if i >= 0:
+            self._deliver(unexpected.pop(i), posted)
             return posted.event
         if self.revoked:
             raise RevokedError(self.name)
         if src != ANY_SOURCE:
             self.check_usable(peer=src)
-        self._posted.append(posted)
+        self._posted.setdefault(dst, []).append(posted)
         return posted.event
 
-    def _find_posted(self, send: PendingSend) -> Optional[PostedRecv]:
-        for recv in self._posted:
-            if recv.dst != send.dst:
-                continue
-            if recv.src not in (ANY_SOURCE, send.src):
-                continue
-            if recv.tag not in (ANY_TAG, send.tag):
-                continue
-            return recv
-        return None
+    @staticmethod
+    def _find_posted(posted: Optional[List[PostedRecv]], src: int, tag: int) -> int:
+        """Index of the first receive in ``posted`` matching a send from
+        ``src`` with ``tag``, or -1."""
+        if posted:
+            for i, recv in enumerate(posted):
+                if recv.src in (ANY_SOURCE, src) and recv.tag in (ANY_TAG, tag):
+                    return i
+        return -1
 
     def probe_op(
         self, dst: int, src: int, tag: int
@@ -311,9 +322,7 @@ class Communicator:
         """
         if self.revoked:
             raise RevokedError(self.name)
-        for send in self._unexpected:
-            if send.dst != dst:
-                continue
+        for send in self._unexpected.get(dst, ()):
             if src not in (ANY_SOURCE, send.src):
                 continue
             if tag == ANY_TAG:
@@ -324,34 +333,39 @@ class Communicator:
             return send
         return None
 
-    def _find_unexpected(self, recv: PostedRecv) -> Optional[PendingSend]:
-        for send in self._unexpected:
-            if send.dst != recv.dst:
-                continue
-            if recv.src not in (ANY_SOURCE, send.src):
-                continue
-            if recv.tag not in (ANY_TAG, send.tag):
-                continue
-            return send
-        return None
+    @staticmethod
+    def _find_unexpected(
+        unexpected: Optional[List[PendingSend]], src: int, tag: int
+    ) -> int:
+        """Index of the first send in ``unexpected`` matching a receive
+        from ``src`` with ``tag`` (either may be a wildcard), or -1."""
+        if unexpected:
+            for i, send in enumerate(unexpected):
+                if src in (ANY_SOURCE, send.src) and tag in (ANY_TAG, send.tag):
+                    return i
+        return -1
 
     def _deliver(self, send: PendingSend, recv: PostedRecv) -> None:
-        """Spawn the transfer process completing both sides."""
+        """Start the network delivery that completes both sides."""
         world = self.world
 
-        def delivery():
-            src_node = world.node_of_rank(self._world_of[send.src])
-            dst_node = world.node_of_rank(self._world_of[send.dst])
-            yield from world.network.transfer(src_node, dst_node, send.nbytes)
+        def arrived() -> None:
             status = Status(source=send.src, tag=send.tag, nbytes=send.nbytes)
             try_succeed(recv.event, (send.payload, status))
             try_succeed(send.done, None)
 
-        world.engine.process(
-            delivery(),
-            name=f"{self.name}:xfer:{send.src}->{send.dst}",
-            daemon=True,
+        world.network.deliver(
+            world.node_of_rank(self._world_of[send.src]),
+            world.node_of_rank(self._world_of[send.dst]),
+            send.nbytes,
+            arrived,
         )
+
+    def _queued(self, queues: Dict[int, list]) -> list:
+        """Every entry of ``queues``, in global posting order."""
+        entries = [entry for queue in queues.values() for entry in queue]
+        entries.sort(key=attrgetter("seq"))
+        return entries
 
     # -- ULFM surface --------------------------------------------------------
 
@@ -369,11 +383,13 @@ class Communicator:
         exc_name = self.name
         #: fan-out = operations poisoned by this revoke (the cost of
         #: turning one local detection into a global failure event)
-        fanout = len(self._posted) + len(self._unexpected)
-        for recv in self._posted:
+        posted = self._queued(self._posted)
+        unexpected = self._queued(self._unexpected)
+        fanout = len(posted) + len(unexpected)
+        for recv in posted:
             try_fail(recv.event, RevokedError(exc_name))
         self._posted.clear()
-        for send in self._unexpected:
+        for send in unexpected:
             try_fail(send.done, RevokedError(exc_name))
         self._unexpected.clear()
         self.world.trace.emit(
@@ -441,14 +457,13 @@ class Communicator:
         if comm_rank is None:
             return
         exc_ranks = {comm_rank}
-        for recv in list(self._posted):
-            if recv.src == comm_rank:
-                self._posted.remove(recv)
-                try_fail(recv.event, ProcFailedError(exc_ranks, "sender died"))
-        for send in list(self._unexpected):
-            if send.dst == comm_rank:
-                self._unexpected.remove(send)
-                try_fail(send.done, ProcFailedError(exc_ranks, "receiver died"))
+        orphaned = [recv for recv in self._queued(self._posted)
+                    if recv.src == comm_rank]
+        for recv in orphaned:
+            self._posted[recv.dst].remove(recv)
+            try_fail(recv.event, ProcFailedError(exc_ranks, "sender died"))
+        for send in self._unexpected.pop(comm_rank, ()):
+            try_fail(send.done, ProcFailedError(exc_ranks, "receiver died"))
         self._agree_gate.recheck()
         self._shrink_gate.recheck()
 

@@ -86,14 +86,31 @@ def payload_nbytes(payload: Any) -> float:
     return 64.0
 
 
+#: exact types whose values never change; a tuple of them is immutable too
+_IMMUTABLE = frozenset((type(None), bool, int, float, complex, str, bytes))
+
+
+def _deep_immutable(value: Any) -> bool:
+    kind = type(value)
+    return kind in _IMMUTABLE or (
+        kind is tuple and _IMMUTABLE.issuperset(map(type, value)))
+
+
 def freeze_payload(payload: Any) -> Any:
     """Snapshot a payload at send time (MPI value semantics).
 
-    numpy arrays are copied; containers are deep-copied; immutable scalars
-    pass through.
+    numpy arrays are copied and immutable scalars pass through.  A flat
+    tuple of the exact types in ``_IMMUTABLE`` travels by reference too,
+    and a list of such values is copied shallowly, which is exactly what
+    ``deepcopy`` returns for it.  Everything else is deep-copied.
     """
+    if isinstance(payload, np.ndarray):
+        return payload.copy()
     if payload is None or isinstance(payload, (bool, int, float, complex, str, bytes)):
         return payload
-    if isinstance(payload, np.ndarray):
+    kind = type(payload)
+    if kind is tuple and _deep_immutable(payload):
+        return payload
+    if kind is list and all(map(_deep_immutable, payload)):
         return payload.copy()
     return copy.deepcopy(payload)

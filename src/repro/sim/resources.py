@@ -186,6 +186,11 @@ class BandwidthPipe:
         ``yield from pipe.acquire_lock()``."""
         return self._lock.acquire()
 
+    def request_lock(self) -> Event:
+        """The lock request event itself, for callers that chain a
+        callback on the grant instead of yielding from a process."""
+        return self._lock.request()
+
     def release_lock(self) -> None:
         self._lock.release()
 

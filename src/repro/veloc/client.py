@@ -34,6 +34,21 @@ class VeloCError(ReproError):
     """Checkpoint/restart failure (missing version, bad region, ...)."""
 
 
+def intersect_versions(
+    comm: CommHandle, local: Set[int]
+) -> Generator[Event, Any, int]:
+    """Allgather-and-intersect version sets over ``comm``; returns the
+    newest version every rank holds, or -1.
+
+    Each rank sends a sorted tuple, which travels by reference (see
+    :func:`repro.mpi.status.freeze_payload`)."""
+    all_sets = yield from comm.allgather(tuple(sorted(local)))
+    common = set(all_sets[0])
+    for s in all_sets[1:]:
+        common &= set(s)
+    return max(common) if common else -1
+
+
 class VeloCClient:
     """One rank's connection to the checkpoint system."""
 
@@ -285,15 +300,7 @@ class VeloCClient:
         if not self.config.collective:
             local = self.local_versions()
             return max(local) if local else -1
-        return self._restart_test_collective()
-
-    def _restart_test_collective(self) -> Generator[Event, Any, int]:
-        local = sorted(self.local_versions())
-        all_sets = yield from self.comm.allgather(local)
-        common = set(all_sets[0])
-        for s in all_sets[1:]:
-            common &= set(s)
-        return max(common) if common else -1
+        return intersect_versions(self.comm, self.local_versions())
 
     # -- recovery -----------------------------------------------------------------------
 

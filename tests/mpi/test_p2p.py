@@ -201,7 +201,9 @@ class TestTimingAndSizes:
 
 class TestMatchingQueues:
     """Queue entries are removed by identity: removing one never compares
-    it field by field against every entry queued before it."""
+    it field by field against every entry queued before it.  The queues
+    are keyed by destination rank; ``_queued`` flattens them back into
+    global posting order."""
 
     @pytest.fixture
     def eq_calls(self, monkeypatch):
@@ -221,12 +223,14 @@ class TestMatchingQueues:
         comm.send_op(2, 0, 9, "unrelated")  # queued ahead of both
         first = comm.send_op(0, 1, 5, "same")
         second = comm.send_op(0, 1, 5, "same")
-        _, queued_first, queued_second = comm._unexpected
+        unrelated, queued_first, queued_second = comm._queued(comm._unexpected)
+        assert comm._unexpected[0] == [unrelated]
+        assert comm._unexpected[1] == [queued_first, queued_second]
         assert queued_first.done is first and queued_second.done is second
         comm.recv_op(1, 0, 5)
-        assert comm._unexpected[1] is queued_second
+        assert comm._queued(comm._unexpected)[1] is queued_second
         comm.recv_op(1, 0, 5)
-        assert len(comm._unexpected) == 1
+        assert comm._queued(comm._unexpected) == [unrelated]
         cluster.engine.run()
         assert first.processed and second.processed
         assert eq_calls == []
@@ -239,7 +243,8 @@ class TestMatchingQueues:
         recv_b = comm.recv_op(1, 0, 5)
         comm.send_op(0, 1, 5, "a")
         comm.send_op(0, 1, 5, "b")
-        assert len(comm._posted) == 1
+        assert len(comm._queued(comm._posted)) == 1
+        assert comm._posted[1] == []
         cluster.engine.run(until=1.0)
         assert recv_a.value[0] == "a" and recv_b.value[0] == "b"
         assert eq_calls == []
